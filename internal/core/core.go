@@ -273,7 +273,7 @@ func (sys *System) Start(handler workload.Handler) {
 // resumable-step handler (workload.StepApp) the scheduler runs requests
 // on the flat unithread tier wherever the configuration qualifies
 // (yield wait, no preemption) — the identical simulated schedule with
-// no per-request goroutine. Apps without a step handler, and
+// no per-request coroutine. Apps without a step handler, and
 // non-qualifying configurations, run on the goroutine tier exactly as
 // via Start.
 func (sys *System) StartApp(app workload.App) {

@@ -89,7 +89,7 @@ type Scheduler struct {
 // SetStepHandler offers the scheduler a resumable-step form of the
 // handler. When the configuration qualifies (yield wait, no preemption),
 // requests run on the flat unithread tier: inline on the worker's own
-// process with no per-request goroutine — the same simulated schedule,
+// process with no per-request coroutine — the same simulated schedule,
 // bit for bit, at a fraction of the wall-clock cost. Call before Start.
 func (s *Scheduler) SetStepHandler(h workload.StepHandler) {
 	s.stepH = h

@@ -153,7 +153,7 @@ func (w *Worker) steal() (workItem, bool) {
 
 // startRequest spawns a unithread for a new request and runs it — on
 // the flat tier when the app's step handler qualifies, else on a
-// goroutine-backed Unithread.
+// coroutine-backed Unithread.
 func (w *Worker) startRequest(req *Request) {
 	s := w.sched
 	if s.flat {

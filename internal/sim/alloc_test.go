@@ -6,13 +6,13 @@ import "testing"
 // hot path: once pools and wheel buckets are warm, sleeping, gate
 // handoffs, queue transfers, task firings, and even process spawning
 // must not allocate. testing.AllocsPerRun counts mallocs process-wide,
-// and exactly one goroutine executes simulator code at a time, so
+// and exactly one coroutine executes simulator code at a time, so
 // measuring from inside a process (around a park/resume) is sound: the
 // count covers the parking process, any process it hands off to, and
 // the event loop in between.
 //
 // They skip under the race detector, which instruments allocation and
-// channel operations and breaks the zero-alloc accounting.
+// breaks the zero-alloc accounting.
 
 func TestSleepZeroAllocs(t *testing.T) {
 	if raceEnabled {
@@ -126,7 +126,7 @@ func TestTaskZeroAllocs(t *testing.T) {
 
 // TestProcSpawnZeroAllocs pins the pooled-Proc satellite: steady-state
 // process creation (one unithread per admitted request in the
-// scheduler) reuses both the runner goroutine and the Proc object, so a
+// scheduler) reuses both the runner coroutine and the Proc object, so a
 // spawn-run-terminate cycle is allocation-free.
 func TestProcSpawnZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -23,7 +23,7 @@ import "testing"
 // inside the measured window; it exists purely to expose the queue's
 // sensitivity to pending-event count: O(log n) per schedule/dispatch for
 // a binary heap, O(1) for the calendar queue. base keeps the original
-// proc mill (park/resume handshake included) for continuity with the
+// proc mill (park/resume included) for continuity with the
 // PR 1 numbers in BENCH_sim.json.
 func BenchmarkSimEventLoop(b *testing.B) {
 	b.Run("base", benchEventLoopProcs)
@@ -101,23 +101,20 @@ func BenchmarkEnvTimerEvents(b *testing.B) {
 	}
 }
 
-// BenchmarkEnvProcSleep measures the park/resume handshake: a single
+// BenchmarkEnvProcSleep measures the park/resume path: a single
 // process sleeping in a tight loop. One op = one Sleep (park + scheduled
 // resume + event dispatch).
 func BenchmarkEnvProcSleep(b *testing.B) {
 	b.ReportAllocs()
 	e := NewEnv(1)
-	done := make(chan struct{})
 	n := b.N
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < n; i++ {
 			p.Sleep(10)
 		}
-		close(done)
 	})
 	b.ResetTimer()
 	e.RunAll()
-	<-done
 }
 
 // BenchmarkEnvProcSpawn measures steady-state process creation and

@@ -18,8 +18,7 @@ import "repro/internal/simcheck"
 // checkDispatch verifies monotone (at, seq) dispatch. The wheel's
 // ordering argument (wheel.go) says dispatch is bit-identical to the
 // retired heap's order; this oracle re-proves it on every event of a
-// checked run, from both dispatch sites (Env.loop and the direct-handoff
-// path in dispatchFrom).
+// checked run, whether the loop or a parking process dispatches it.
 func (e *Env) checkDispatch(at Time, seq uint64) {
 	if at < e.lastAt || (at == e.lastAt && seq <= e.lastSeq) {
 		simcheck.Fail(simcheck.New("sim/dispatch-order",
@@ -28,31 +27,6 @@ func (e *Env) checkDispatch(at Time, seq uint64) {
 			With("prevAt", int64(e.lastAt)).With("prevSeq", e.lastSeq))
 	}
 	e.lastAt, e.lastSeq = at, seq
-}
-
-// popChecked pops and order-checks the next event for the direct-handoff
-// dispatch path (dispatchFrom), which runs on a parking process's
-// goroutine. A wheel or dispatch-order oracle firing there would crash
-// that goroutine instead of surfacing to Run's caller, so this wrapper
-// forwards the panic through inlinePanic exactly as runInline does for
-// plain callbacks. Checked environments only — the unchecked fast path
-// in dispatchFrom never calls it.
-func (e *Env) popChecked() (ev event, ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.inlinePanic = &forwardedPanic{val: rec}
-			ev, ok = event{}, false
-		}
-	}()
-	if e.q.hasNext && e.q.next.at <= e.until {
-		ev = e.q.next
-		e.q.hasNext = false
-		e.q.count--
-	} else if ev, ok = e.q.popSlow(e.until); !ok {
-		return event{}, false
-	}
-	e.checkDispatch(ev.at, ev.seq)
-	return ev, true
 }
 
 // MarkBlocked records that w is parked on the named primitive (a gate,

@@ -29,25 +29,19 @@ type Env struct {
 	seq uint64
 	rng *RNG
 
-	// parked is the rendezvous on which a running process hands control
-	// back to the event loop (by parking or terminating). Because only one
-	// process runs at a time, one channel suffices.
-	parked chan struct{}
-
 	stopped     bool
 	nProcs      int     // live (not yet terminated) processes, for leak detection
 	parkedHead  *Proc   // intrusive list of parked processes, for teardown
-	freeRunners *runner // recycled process goroutines + rendezvous channels
+	freeRunners *runner // idle process coroutines, ready for the next Go
 	freeProcs   *Proc   // recycled process objects, linked through parkNext
 
-	// until is the bound of the run in progress; the direct-handoff fast
-	// path (proc.go) must not dispatch past it on the loop's behalf.
-	until Time
+	// handoff is the process a parker popped from the queue but could
+	// not run itself; runProcEvent resumes it once the parker yields.
+	handoff *Proc
 
-	// inlinePanic carries a panic raised while a parking process was
-	// dispatching events inline; the loop goroutine rethrows it so Run's
-	// caller sees panics identically however the event was dispatched.
-	inlinePanic *forwardedPanic
+	// until is the bound of the run in progress; a parking process
+	// (proc.go) must not dispatch past it on the loop's behalf.
+	until Time
 
 	// Invariant-oracle state (check.go). checked is latched at
 	// construction from simcheck.On(), so arming must happen before the
@@ -59,18 +53,9 @@ type Env struct {
 	lastSeq uint64
 }
 
-// forwardedPanic wraps a recovered panic value in transit between the
-// goroutine that caught it and the loop goroutine that rethrows it.
-type forwardedPanic struct {
-	val any
-}
-
 // NewEnv returns an environment with its clock at zero, seeded with seed.
 func NewEnv(seed int64) *Env {
-	e := &Env{
-		rng:    NewRNG(seed),
-		parked: make(chan struct{}),
-	}
+	e := &Env{rng: NewRNG(seed)}
 	if simcheck.On() {
 		e.checked = true
 		e.blocked = make(map[Waiter]string)
@@ -99,7 +84,7 @@ func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Stop terminates the event loop after the current event completes.
 // Remaining events are discarded; parked processes are abandoned (their
-// goroutines are unblocked and exit).
+// coroutines are stopped and exit).
 func (e *Env) Stop() { e.stopped = true }
 
 // Run executes events until the clock would pass until, the queue drains,
@@ -122,6 +107,16 @@ func (e *Env) RunAll() Time {
 
 func (e *Env) loop(until Time) {
 	e.until = until
+	e.dispatch(nil)
+}
+
+// dispatch pops and runs events in (at, seq) order until the run bound,
+// an empty queue, or Stop. The event loop calls it with self == nil and
+// hands every proc event to runProcEvent. A parking process calls it
+// with itself: plain callbacks run inline, its own resume returns true,
+// and any other process's event is left in e.handoff (returning false)
+// for the loop to resume once the parker yields.
+func (e *Env) dispatch(self *Proc) bool {
 	// ev is hoisted out of the loop so the manual popUntil inline below
 	// costs no per-iteration zeroing on the levelled (cache-miss) path.
 	var ev event
@@ -130,13 +125,13 @@ func (e *Env) loop(until Time) {
 		// inliner's budget, and this loop runs once per event): a cache
 		// hit is a branch and a copy; every other case — empty cache,
 		// cached event past until, levelled events — is popSlow's.
-		if e.q.hasNext && e.q.next.at <= until {
+		if e.q.hasNext && e.q.next.at <= e.until {
 			ev = e.q.next
 			e.q.hasNext = false
 			e.q.count--
 		} else {
 			var ok bool
-			if ev, ok = e.q.popSlow(until); !ok {
+			if ev, ok = e.q.popSlow(e.until); !ok {
 				break
 			}
 		}
@@ -144,19 +139,21 @@ func (e *Env) loop(until Time) {
 			e.checkDispatch(ev.at, ev.seq)
 		}
 		e.now = ev.at
-		if ev.proc != nil {
-			e.runProcEvent(ev.proc)
-			// A panic raised while the proc's goroutine was dispatching
-			// events inline (direct handoff) surfaces here; plain callbacks
-			// run on this goroutine and panic through loop directly.
-			if fp := e.inlinePanic; fp != nil {
-				e.inlinePanic = nil
-				panic(fp.val)
-			}
-		} else {
+		p := ev.proc
+		switch {
+		case p == nil:
 			ev.fn()
+		case self == nil:
+			e.runProcEvent(p)
+		case p == self:
+			e.unlinkParked(p)
+			return true
+		default:
+			e.handoff = p
+			return false
 		}
 	}
+	return false
 }
 
 // Pending reports the number of scheduled events, for tests.

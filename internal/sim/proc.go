@@ -1,39 +1,34 @@
+//go:build go1.23
+
 package sim
 
-// Proc is a simulated process: a goroutine that runs strictly one at a
+import "iter"
+
+// Proc is a simulated process: a coroutine that runs strictly one at a
 // time under the event loop's control. A Proc may block on simulated time
 // (Sleep) or on synchronization primitives (Gate, Queue); while it is
 // blocked, other events and processes run. This is how unithreads,
 // workers, the dispatcher, and other flows that genuinely block
 // mid-traversal are expressed; purely timer/event-driven loops should use
 // the cheaper tier-1 Task (task.go) instead, which never leaves the
-// event loop's goroutine.
+// event loop.
 //
-// The implementation uses a two-channel handshake: when the event loop
-// transfers control to a process it blocks on env.parked until the
-// process parks again or terminates, so at most one process (or the loop)
-// executes at any moment and no user-level locking is needed anywhere in
-// the simulator. The goroutine and its rendezvous channel live in a
-// runner that outlives the Proc: when a process terminates, its runner
-// returns to the environment's free list and the next Go reuses it, so
-// per-request process churn (one unithread per request in the scheduler)
-// costs neither a goroutine spawn nor a channel allocation in steady
-// state. Terminated Proc objects are recycled the same way (freeProcs),
-// so steady-state Go is allocation-free too.
+// Each process runs on a runner: one iter.Pull coroutine that executes
+// process bodies back to back. Parking yields the coroutine; the event
+// loop's runProcEvent is the only code that resumes one, so at most one
+// process (or the loop) executes at any moment and no user-level locking
+// is needed anywhere in the simulator. When a process terminates, its
+// runner returns to the environment's free list and the next Go reuses
+// it; terminated Proc objects are recycled the same way (freeProcs), so
+// steady-state spawning is allocation-free.
 //
-// Direct handoff (the tier-2 fast path): a real park/resume round trip
-// through the loop goroutine costs four channel operations — park send,
-// loop wake, resume send, process wake — i.e. two OS-level context
-// switches per simulated one. park avoids the trip entirely: before
-// yielding, the parking process pops the queue and dispatches upcoming
-// events itself. A resume of the parking process returns from park with
-// zero channel operations (the Sleep and Gate.Wake→Wait shapes); a
-// resume or start of another process transfers control goroutine-to-
-// goroutine with one send; a plain callback runs inline. Only when the
-// next event is past the run bound (or the queue drains) does control
-// revert to the loop goroutine. Dispatch order is bit-identical: the
-// handoff consumes exactly the event the loop would have popped next,
-// only on a different goroutine.
+// Before yielding, a parking process dispatches upcoming events itself
+// (dispatch): plain callbacks run inline, and if its own resume comes
+// next, park returns without a coroutine switch at all (the Sleep and
+// Gate.Wake→Wait shapes). If another process's event comes next, that
+// process is left in Env.handoff and the loop resumes it as soon as the
+// parker yields. Dispatch order is bit-identical either way: the parker
+// consumes exactly the events the loop would have popped next.
 type Proc struct {
 	env  *Env
 	name string
@@ -48,29 +43,23 @@ type Proc struct {
 	parked             bool
 }
 
-type procSignal struct {
-	abort bool
-}
-
 // abortSignal is panicked inside a parked process when the environment
-// tears down, unwinding the process goroutine. Process bodies must not
-// park again from deferred functions.
+// tears down, unwinding the process body. Process bodies must not park
+// again from deferred functions.
 type abortSignal struct{}
 
-// runner is a reusable process executor: one goroutine plus the
-// rendezvous channel the event loop uses to hand control to it. Runners
-// are pooled per Env (freeRunners) and recycled across processes within
-// a run; releaseParked drains the pool when a run finishes so idle
-// goroutines never outlive the simulation that created them.
+// runner is a reusable process executor: one coroutine that runs the
+// body it is handed, returns itself to the environment's free list, and
+// yields until the next body arrives. Runners are pooled per Env
+// (freeRunners); releaseParked stops the pooled ones when a run
+// finishes so idle coroutines never outlive the simulation.
 type runner struct {
-	work   chan runnerWork // loop → runner: begin a new process body
-	resume chan procSignal // loop → runner: resume the parked process
-	next   *runner         // free-list link
-}
-
-type runnerWork struct {
-	p  *Proc
-	fn func(*Proc)
+	env    *Env
+	p      *Proc // process being run, handed over by startProc
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	next   *runner // free-list link
 }
 
 // Go creates a process that will begin executing fn at the current
@@ -92,52 +81,77 @@ func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// runProcEvent dispatches a proc-carrying event: the start of a new
-// process (first firing after Go) or the resumption of a parked one.
+// runProcEvent dispatches a proc-carrying event — the start of a new
+// process or the resumption of a parked one — and then every process the
+// parker left in e.handoff. It is the only code that resumes a process.
 func (e *Env) runProcEvent(p *Proc) {
-	if fn := p.body; fn != nil {
-		p.body = nil
-		e.beginProc(p, fn)
-	} else {
-		e.resumeProc(p)
+	for p != nil {
+		if p.body != nil {
+			e.startProc(p)
+		} else if p.done {
+			panic("sim: resuming terminated proc " + p.name)
+		} else {
+			e.unlinkParked(p)
+		}
+		p.r.resume()
+		p, e.handoff = e.handoff, nil
 	}
-	<-e.parked
 }
 
-// beginProc hands a (new or recycled) runner the process body. Control
-// transfers to the runner goroutine; the caller must then block on its
-// own rendezvous — the loop on e.parked, a parking process on its
-// resume channel.
-func (e *Env) beginProc(p *Proc, fn func(*Proc)) {
-	if r := e.freeRunners; r != nil {
+// startProc binds a pooled (or new) runner to p; the caller resumes it.
+func (e *Env) startProc(p *Proc) {
+	r := e.freeRunners
+	if r != nil {
 		e.freeRunners = r.next
 		r.next = nil
-		p.r = r
-		r.work <- runnerWork{p: p, fn: fn}
 	} else {
-		r := &runner{work: make(chan runnerWork), resume: make(chan procSignal)}
-		p.r = r
-		go r.loop(e, runnerWork{p: p, fn: fn})
+		r = &runner{env: e}
+		r.resume, r.stop = iter.Pull(r.run)
 	}
+	r.p = p
+	p.r = r
 }
 
-// loop runs process bodies until the environment closes the runner's
-// work channel. Between bodies the runner parks itself on the free list;
-// the push happens while every other simulator goroutine is blocked, so
-// the list needs no locking.
-func (r *runner) loop(e *Env, w runnerWork) {
+// run is the runner coroutine: it executes bodies until stopped, either
+// while idle on the free list or (through abortSignal) inside a parked
+// body.
+func (r *runner) run(yield func(struct{}) bool) {
+	r.yield = yield
+	e := r.env
 	for {
-		r.runBody(w)
+		p := r.p
+		aborted := r.runBody()
+		r.p = nil
 		e.nProcs--
+		e.releaseProc(p)
+		if aborted {
+			return
+		}
 		r.next = e.freeRunners
 		e.freeRunners = r
-		e.releaseProc(w.p)
-		e.parked <- struct{}{}
-		var ok bool
-		if w, ok = <-r.work; !ok {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
+}
+
+// runBody executes one process body, converting the teardown abort into
+// a normal return. Any other panic propagates out of the coroutine and
+// resurfaces from resume in the event loop, and from there out of Run.
+func (r *runner) runBody() (aborted bool) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			if _, ok := rec.(abortSignal); !ok {
+				panic(rec)
+			}
+			aborted = true
+		}
+	}()
+	p := r.p
+	fn := p.body
+	p.body = nil
+	fn(p)
+	return false
 }
 
 // releaseProc recycles a terminated process object onto the free list.
@@ -145,19 +159,6 @@ func (r *runner) loop(e *Env, w runnerWork) {
 func (e *Env) releaseProc(p *Proc) {
 	*p = Proc{env: e, done: true, parkNext: e.freeProcs}
 	e.freeProcs = p
-}
-
-// runBody executes one process body, converting the teardown abort into
-// a normal return so the runner goroutine survives for reuse.
-func (r *runner) runBody(w runnerWork) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(abortSignal); !ok {
-				panic(rec)
-			}
-		}
-	}()
-	w.fn(w.p)
 }
 
 // Name returns the process's debug name.
@@ -169,10 +170,9 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current simulated time.
 func (p *Proc) Now() Time { return p.env.now }
 
-// park hands control back to the event loop until some event resumes this
-// process. The caller must have arranged for a wake-up first. See the
-// type comment for the direct-handoff fast path taken before the
-// goroutine actually blocks.
+// park suspends the process until some event resumes it. The caller must
+// have arranged for a wake-up first. See the type comment for the inline
+// dispatch taken before the coroutine actually yields.
 func (p *Proc) park() {
 	e := p.env
 	p.parked = true
@@ -184,97 +184,12 @@ func (p *Proc) park() {
 	// resume, and Go/releaseProc reset fresh and recycled procs.
 	e.parkedHead = p
 
-	if e.dispatchFrom(p) {
-		return // resumed inline: no channel operations at all
+	if e.dispatch(p) {
+		return // own resume came next: no coroutine switch
 	}
-	sig := <-p.r.resume
-	if sig.abort {
+	if !p.r.yield(struct{}{}) {
 		panic(abortSignal{})
 	}
-}
-
-// dispatchFrom dispatches pending events from the goroutine of the
-// process that is parking, in exactly the order the event loop would
-// have. It returns true when the dispatched event resumes p itself;
-// otherwise it has transferred control (to another process's goroutine,
-// or — by sending on e.parked — back to the loop) and the caller must
-// block on its resume channel.
-func (e *Env) dispatchFrom(p *Proc) bool {
-	var ev event
-	for !e.stopped {
-		if e.checked {
-			// Checked builds pop through a recover wrapper: a wheel or
-			// dispatch-order oracle firing here would otherwise crash this
-			// process goroutine instead of reaching Run's caller.
-			var ok bool
-			if ev, ok = e.popChecked(); !ok {
-				break
-			}
-		} else if e.q.hasNext && e.q.next.at <= e.until {
-			// wheel.popUntil, manually inlined as in Env.loop.
-			ev = e.q.next
-			e.q.hasNext = false
-			e.q.count--
-		} else {
-			var ok bool
-			if ev, ok = e.q.popSlow(e.until); !ok {
-				break
-			}
-		}
-		q, fn := ev.proc, ev.fn
-		e.now = ev.at
-		if q == nil {
-			// Plain callback. Exactly one goroutine ever executes
-			// simulator code, so "event-loop context" holds here too; a
-			// panic is forwarded so Run's caller still observes it.
-			if !e.runInline(fn) {
-				break
-			}
-			continue
-		}
-		if bodyFn := q.body; bodyFn != nil {
-			q.body = nil
-			e.beginProc(q, bodyFn)
-			return false
-		}
-		if q == p {
-			e.unlinkParked(p)
-			return true
-		}
-		if q.done {
-			e.inlinePanic = &forwardedPanic{val: "sim: resuming terminated proc " + q.name}
-			break
-		}
-		e.unlinkParked(q)
-		q.r.resume <- procSignal{}
-		return false
-	}
-	e.parked <- struct{}{}
-	return false
-}
-
-// runInline executes one plain callback on a parking process's
-// goroutine, capturing a panic for the loop goroutine to rethrow so
-// Run's caller observes it exactly as if the loop had run the callback.
-func (e *Env) runInline(fn func()) (ok bool) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.inlinePanic = &forwardedPanic{val: rec}
-		}
-	}()
-	fn()
-	return true
-}
-
-// resumeProc transfers control from the event loop to a parked process.
-// Must only be called from event-loop context; the caller blocks on
-// e.parked afterwards (runProcEvent).
-func (e *Env) resumeProc(p *Proc) {
-	if p.done {
-		panic("sim: resuming terminated proc " + p.name)
-	}
-	e.unlinkParked(p)
-	p.r.resume <- procSignal{}
 }
 
 // unlinkParked removes p from the parked list.
@@ -319,9 +234,9 @@ func (e *Env) ScheduleResume(p *Proc, at Time) { e.scheduleResume(p, at) }
 
 // Yield parks the process behind every event already scheduled at the
 // current time: it files its own resumption at now and parks, so pending
-// same-timestamp events dispatch first, in order. With direct handoff, a
-// Yield with nothing else pending returns with zero channel operations —
-// it is the cheapest possible park/resume boundary. The scheduler's flat
+// same-timestamp events dispatch first, in order. A Yield whose own
+// resume comes next returns without a coroutine switch — it is the
+// cheapest possible park/resume boundary. The scheduler's flat
 // unithread tier brackets each inline execution segment with Yields to
 // reproduce, one for one, the event-queue boundaries a goroutine-backed
 // unithread's handoff gates would have introduced, which keeps
@@ -371,11 +286,11 @@ func (e *Env) skipAhead(at Time) bool {
 	return true
 }
 
-// releaseParked unwinds any still-parked process goroutines and drains
-// the runner pool. Called when a run finishes so that repeated
-// simulations (benchmark sweeps) do not leak goroutines. The common
+// releaseParked stops every still-parked process and every pooled
+// runner. Called when a run finishes so that repeated simulations
+// (benchmark sweeps) do not leak coroutines. The common
 // nothing-to-release case — no process ever parked, no runner pooled —
-// inlines into Run/RunAll; the unwind loops live in the slow half.
+// inlines into Run/RunAll; the stop loops live in the slow half.
 func (e *Env) releaseParked() {
 	e.foldMaxPending()
 	if e.checked {
@@ -390,11 +305,10 @@ func (e *Env) releaseParkedSlow() {
 	for e.parkedHead != nil {
 		p := e.parkedHead
 		e.unlinkParked(p)
-		p.r.resume <- procSignal{abort: true}
-		<-e.parked
+		p.r.stop()
 	}
 	for r := e.freeRunners; r != nil; r = r.next {
-		close(r.work)
+		r.stop()
 	}
 	e.freeRunners = nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -298,9 +299,54 @@ func TestTeardownReleasesParkedProcs(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		e.Go("stuck", func(p *Proc) { q.Pop(p) })
 	}
+	// Five short-lived procs leave five idle runners in the pool; they
+	// start after the stuck ones, so no stuck proc can reuse them.
+	for i := 0; i < 5; i++ {
+		e.Go("brief", func(p *Proc) { p.Sleep(1) })
+	}
+	before := runtime.NumGoroutine()
 	e.Run(100)
 	if e.LiveProcs() != 0 {
 		t.Fatalf("leaked %d procs after teardown", e.LiveProcs())
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before Run, %d after teardown", before, after)
+	}
+}
+
+// TestPanicReachesRunCaller pins that a panic raised on a process
+// coroutine — in its body, or in a plain callback the process dispatches
+// inline while parking — re-panics out of Run with the original value.
+func TestPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ where string }
+	cases := []struct {
+		name  string
+		setup func(e *Env)
+	}{
+		{"proc body", func(e *Env) {
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(10)
+				panic(boom{"proc body"})
+			})
+		}},
+		{"inline callback", func(e *Env) {
+			e.At(5, func() { panic(boom{"inline callback"}) })
+			// The sleeper parks at 0 and dispatches the t=5 callback
+			// itself, on its own coroutine, before its t=10 resume.
+			e.Go("parker", func(p *Proc) { p.Sleep(10) })
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEnv(1)
+			tc.setup(e)
+			defer func() {
+				if got := recover(); got != (boom{tc.name}) {
+					t.Fatalf("Run panicked with %v, want %v", got, boom{tc.name})
+				}
+			}()
+			e.RunAll()
+		})
 	}
 }
 

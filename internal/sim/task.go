@@ -1,14 +1,14 @@
 package sim
 
 // Task is the tier-1 execution primitive: a timer-driven state machine
-// scheduled directly on the timing wheel. Where a Proc is a goroutine
-// that may block mid-function (Sleep, Gate.Wait) — costing a real
-// channel handshake per simulated context switch — a Task is just a
-// callback the event loop invokes at the times the task arms itself
-// for. Between firings its state lives in explicit fields, not on a
-// goroutine stack, so firing a task costs exactly one wheel dispatch:
-// no goroutine, no channels, no allocation (the callback closure is
-// built once at construction and reused for every firing).
+// scheduled directly on the timing wheel. Where a Proc is a coroutine
+// that may block mid-function (Sleep, Gate.Wait) — costing a coroutine
+// switch per simulated context switch — a Task is just a callback the
+// event loop invokes at the times the task arms itself for. Between
+// firings its state lives in explicit fields, not on a stack, so firing
+// a task costs exactly one wheel dispatch: no coroutine, no allocation
+// (the callback closure is built once at construction and reused for
+// every firing).
 //
 // Model loops that never block mid-step — the loadgen arrival loop, the
 // paging reclaimer, NIC delivery and completion paths — run as tasks;
@@ -64,7 +64,7 @@ func (t *Task) FireAfter(d Time) { t.FireAt(t.env.now + d) }
 
 // Waiter is the common face of the two execution tiers for wake-up
 // points: something that can be scheduled to continue at a given time.
-// A *Proc continues by having its goroutine resumed; a *Task by being
+// A *Proc continues by having its coroutine resumed; a *Task by being
 // armed to fire. Synchronization primitives (Gate, QP slot waits) store
 // a Waiter so both tiers can block on them; the set of implementations
 // is closed.

@@ -9,7 +9,7 @@
 // The kernel supports two styles of simulated activity:
 //
 //   - plain events: a callback scheduled at an absolute time, and
-//   - processes (Proc): goroutines that run strictly one at a time under
+//   - processes (Proc): coroutines that run strictly one at a time under
 //     the control of the event loop and can block on time (Sleep), on
 //     queues, or on gates. Processes let complex control flow — a B-tree
 //     descent that takes a page fault halfway down — be written as

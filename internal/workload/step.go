@@ -8,13 +8,15 @@ import (
 // This file defines the resumable-step execution contract behind the
 // scheduler's flat unithread tier. The paper's central cost argument
 // (§3.2, Table 1) is that a unithread needs only an 80-byte light
-// context because it suspends at known call boundaries; the goroutine-
-// backed Unithread models the *timing* of that but still pays a real
-// goroutine switch per suspend in wall-clock terms. An app that can
+// context because it suspends at known call boundaries; the coroutine-
+// backed Unithread models the *timing* of that but still pays a
+// coroutine switch per suspend in wall-clock terms — a request round
+// trip with 8 faults costs 11.2 µs there against 6.5 µs flat
+// (BenchmarkSchedRequestRoundTrip; see sched/flat.go). An app that can
 // express its handler as explicit steps — each call runs to the next
 // fault point and parks its continuation state in a StepFrame — lets the
 // scheduler run requests inline on the worker's own process with no
-// second goroutine at all. Stack-dependent apps (B-trees mid-descent,
+// second coroutine at all. Stack-dependent apps (B-trees mid-descent,
 // SQL scans) keep the goroutine tier; both tiers execute the identical
 // simulated schedule.
 
