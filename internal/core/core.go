@@ -384,19 +384,19 @@ func (sys *System) Run(app workload.App, rateRPS float64, warmup, measure sim.Ti
 	}
 	now := end
 	return RunResult{
-		Mode:      sys.Cfg.Mode,
-		OfferedK:  rateRPS / 1000,
-		TputK:     gen.Throughput(now) / 1000,
-		P50us:     sim.Time(gen.E2E.P50()).Micros(),
-		P99us:     sim.Time(gen.E2E.P99()).Micros(),
-		P999us:    sim.Time(gen.E2E.P999()).Micros(),
-		MeanUs:    sim.Time(gen.E2E.Mean()).Micros(),
-		LinkUtil:  linkUtil,
-		Drops:     sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
-		Faults:    sys.Mgr.Faults.Value(),
-		Completed: sys.Sched.Completed.Value(),
-		Aborts:    sys.Sched.FaultAborts.Value(),
-		Retries:   sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value(),
+		Mode:       sys.Cfg.Mode,
+		OfferedK:   rateRPS / 1000,
+		TputK:      gen.Throughput(now) / 1000,
+		P50us:      sim.Time(gen.E2E.P50()).Micros(),
+		P99us:      sim.Time(gen.E2E.P99()).Micros(),
+		P999us:     sim.Time(gen.E2E.P999()).Micros(),
+		MeanUs:     sim.Time(gen.E2E.Mean()).Micros(),
+		LinkUtil:   linkUtil,
+		Drops:      sys.Net.Drops.Value() + sys.Sched.DropsQueue.Value() + sys.Sched.DropsPool.Value(),
+		Faults:     sys.Mgr.Faults.Value(),
+		Completed:  sys.Sched.Completed.Value(),
+		Aborts:     sys.Sched.FaultAborts.Value(),
+		Retries:    sys.Mgr.FetchRetries.Value() + sys.Mgr.WritebackRetries.Value(),
 		Failovers:  sys.Mgr.FailoverReads.Value(),
 		Repaired:   repaired,
 		Migrations: migrations,

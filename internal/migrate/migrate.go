@@ -118,11 +118,11 @@ type job struct {
 
 // Executor states.
 const (
-	mgIdle = iota // queue empty
-	mgNext        // pick up the next job (also the bandwidth-gap wait)
-	mgRead        // READ of the source copy in flight
-	mgWrite       // WRITE to the destination in flight
-	mgFlip        // copy durable; waiting for the page to be quiescent
+	mgIdle  = iota // queue empty
+	mgNext         // pick up the next job (also the bandwidth-gap wait)
+	mgRead         // READ of the source copy in flight
+	mgWrite        // WRITE to the destination in flight
+	mgFlip         // copy durable; waiting for the page to be quiescent
 )
 
 // Migrator is the assembled migration subsystem: heat tracker, epoch

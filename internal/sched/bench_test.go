@@ -95,7 +95,7 @@ type rtRig struct {
 	sent     int
 }
 
-func newRTRig(flatTier bool) *rtRig {
+func newRTRig(flatTier bool, wait WaitPolicy) *rtRig {
 	env := sim.NewEnv(5)
 	// Fast fabric: with wire serialization and flight shrunk, fetch
 	// completions and arrivals cluster at the same instants, so each
@@ -126,6 +126,7 @@ func newRTRig(flatTier bool) *rtRig {
 	}
 	cfg := DefaultConfig()
 	cfg.Workers, cfg.Dispatchers = 1, 1
+	cfg.Wait = wait
 	r.sched = New(env, cfg, r.net, rdma.Fabric{nic}, mgr, unithread.NewPool(64, 4096), app.handler())
 	if flatTier {
 		r.sched.SetStepHandler(rtStep{app})
@@ -156,7 +157,7 @@ func (r *rtRig) inject() {
 }
 
 func benchRoundTrip(b *testing.B, flatTier bool) {
-	r := newRTRig(flatTier)
+	r := newRTRig(flatTier, Yield)
 	total := rtWarmOps + b.N
 	completed := 0
 	r.sched.OnComplete = func(*Request) {
@@ -190,14 +191,10 @@ func BenchmarkSchedRequestRoundTrip(b *testing.B) {
 	b.Run("flat", func(b *testing.B) { benchRoundTrip(b, true) })
 }
 
-// The flat tier's zero-allocation contract: a full request round trip —
-// admission, spawn, fault, park, resume, reply, retire — allocates
-// nothing once pools are warm.
-func TestFlatRoundTripZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("alloc accounting is not meaningful under -race")
-	}
-	r := newRTRig(true)
+// roundTripAllocs measures the allocations of one request round trip —
+// admission, spawn, fault, park, resume, reply, retire — once pools are
+// warm.
+func roundTripAllocs(r *rtRig) float64 {
 	done := sim.NewGate(r.env)
 	r.sched.OnComplete = func(*Request) { done.Wake() }
 	var got float64
@@ -213,7 +210,30 @@ func TestFlatRoundTripZeroAllocs(t *testing.T) {
 		r.env.Stop()
 	})
 	r.env.RunAll()
-	if got != 0 {
+	return got
+}
+
+// The flat tier's zero-allocation contract: a full request round trip
+// allocates nothing once pools are warm.
+func TestFlatRoundTripZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is not meaningful under -race")
+	}
+	if got := roundTripAllocs(newRTRig(true, Yield)); got != 0 {
 		t.Fatalf("flat round trip allocates %v per op, want 0", got)
+	}
+}
+
+// The goroutine tier keeps the same contract under both wait policies:
+// each fault registers a pre-bound completion callback, so neither the
+// yield nor the busy-wait path allocates per fault.
+func TestGoroutineRoundTripZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is not meaningful under -race")
+	}
+	for _, wait := range []WaitPolicy{Yield, BusyWait} {
+		if got := roundTripAllocs(newRTRig(false, wait)); got != 0 {
+			t.Errorf("goroutine round trip (wait policy %d) allocates %v per op, want 0", wait, got)
+		}
 	}
 }

@@ -127,14 +127,15 @@ func (s *Scheduler) newUnithread(w *Worker, req *Request) *Unithread {
 		u := s.freeUts[n-1]
 		s.freeUts[n-1] = nil
 		s.freeUts = s.freeUts[:n-1]
-		g, bf, orf := u.gate, u.bodyFn, u.onReadyFn
+		g, bf, orf, obf := u.gate, u.bodyFn, u.onReadyFn, u.onBusyFn
 		g.Reset()
-		*u = Unithread{sched: s, worker: w, gate: g, bodyFn: bf, onReadyFn: orf, req: req}
+		*u = Unithread{sched: s, worker: w, gate: g, bodyFn: bf, onReadyFn: orf, onBusyFn: obf, req: req}
 		return u
 	}
 	u := &Unithread{sched: s, worker: w, gate: sim.NewGate(s.env), req: req}
 	u.bodyFn = u.body
 	u.onReadyFn = u.onReady
+	u.onBusyFn = u.onBusy
 	return u
 }
 

@@ -22,17 +22,21 @@ type Unithread struct {
 	runStart  sim.Time // when last placed on a core (preemption quantum)
 	noPreempt int      // >0 inside application critical sections
 
-	// ferr is the error (if any) delivered by the paging layer to the
-	// yield-mode wait callback: the pending fetch was abandoned after
-	// bounded retries. WaitPage re-raises it as a *FetchError panic.
+	// ferr is the error (if any) delivered by the paging layer to a
+	// fetch-wait callback: the pending fetch was abandoned after bounded
+	// retries. WaitPage re-raises it as a *FetchError panic.
 	ferr error
+	// bwFired is set by the busy-wait fetch callback for the current
+	// round of WaitPage.
+	bwFired bool
 
 	// bodyFn is the bound body method value, created once per context so
 	// recycled unithreads do not re-allocate the closure on every spawn.
 	bodyFn func(*sim.Proc)
-	// onReadyFn is the bound yield-mode fetch-completion callback,
-	// likewise created once so the fault path stays allocation-free.
-	onReadyFn func(error)
+	// onReadyFn and onBusyFn are the bound yield-mode and busy-wait
+	// fetch-completion callbacks, likewise created once so the fault
+	// path stays allocation-free.
+	onReadyFn, onBusyFn func(error)
 	// finished is set just before the final core handoff; the worker
 	// recycles the context once it regains the core.
 	finished bool
@@ -298,10 +302,9 @@ func (u *Unithread) WaitPage(sp *paging.Space, vpn int64) {
 	s.Trace.Instant(trace.KindFetch, w.id, "fault", start)
 
 	demand := true
-	var ferr error
+	u.ferr = nil
 	switch s.cfg.Wait {
 	case Yield:
-		u.ferr = nil
 		for u.ferr == nil && !sp.Resident(vpn) {
 			if s.mgr.RequestPage(u, sp, vpn, u.onReadyFn, demand) {
 				break
@@ -312,20 +315,20 @@ func (u *Unithread) WaitPage(sp *paging.Space, vpn int64) {
 			w.runGate.Wake()
 			u.gate.Wait(u.proc)
 		}
-		ferr, u.ferr = u.ferr, nil
 	case BusyWait:
-		for ferr == nil && !sp.Resident(vpn) {
-			fired := false
-			onReady := func(e error) {
-				fired = true
-				ferr = e
-				w.cqGate.Wake()
-			}
-			if s.mgr.RequestPage(u, sp, vpn, onReady, demand) {
+		// One callback serves every round, and no round leaves it
+		// registered behind: paging runs a fetch's waiters at the
+		// completion that maps the page (or that ends the write-back or
+		// abandons the fetch the round waited on), so bwFired and
+		// residency become true together and the inner loop exits only
+		// after the callback has fired.
+		for u.ferr == nil && !sp.Resident(vpn) {
+			u.bwFired = false
+			if s.mgr.RequestPage(u, sp, vpn, u.onBusyFn, demand) {
 				break
 			}
 			demand = false
-			for !fired && !sp.Resident(vpn) {
+			for !u.bwFired && !sp.Resident(vpn) {
 				if n := w.cq.PollInto(w.cqBuf[:16]); n > 0 {
 					for _, comp := range w.cqBuf[:n] {
 						s.mgr.CompleteOn(comp.Cookie.(*paging.Fetch), comp.Err, comp.QP)
@@ -342,6 +345,8 @@ func (u *Unithread) WaitPage(sp *paging.Space, vpn int64) {
 	}
 
 	u.req.RDMAWait += u.proc.Now() - start
+	ferr := u.ferr
+	u.ferr = nil
 	if ferr != nil {
 		panic(ferr) // *FetchError; body's runHandler aborts the request
 	}
@@ -354,6 +359,15 @@ func (u *Unithread) WaitPage(sp *paging.Space, vpn int64) {
 func (u *Unithread) onReady(err error) {
 	u.ferr = err
 	u.markReady()
+}
+
+// onBusy is the busy-wait fetch-completion callback, via the pre-bound
+// onBusyFn closure: record the outcome and wake the unithread polling
+// its worker's fetch CQ.
+func (u *Unithread) onBusy(err error) {
+	u.bwFired = true
+	u.ferr = err
+	u.worker.cqGate.Wake()
 }
 
 // markReady moves the unithread to its worker's ready list (step ⑧→⑨

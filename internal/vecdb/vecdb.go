@@ -115,8 +115,10 @@ func NewBlueprint(cfg Config) *Blueprint {
 		centers[c] = randVec(rng, cfg.Dim, 0, 1)
 	}
 	bp.vecs = make([][]float32, cfg.N)
+	gen := make([]int, cfg.N) // generating center of each vector
 	for i := range bp.vecs {
-		c := centers[rng.Intn(cfg.NList)]
+		gen[i] = rng.Intn(cfg.NList)
+		c := centers[gen[i]]
 		v := make([]float32, cfg.Dim)
 		for d := range v {
 			v[d] = c[d] + float32(rng.Normal(0, 0.08, -4))
@@ -124,17 +126,15 @@ func NewBlueprint(cfg Config) *Blueprint {
 		bp.vecs[i] = v
 	}
 
-	bp.cents = kmeansLite(rng, bp.vecs, cfg.NList, 3)
+	// win[g] is the centroid that last won a vector generated by center
+	// g: the nearest-centroid hint for the next such vector.
+	win := make([]int, cfg.NList)
+	bp.cents = kmeansLite(rng, bp.vecs, gen, win, cfg.NList, 3)
 
 	bp.assign = make([][]uint32, cfg.NList)
 	for i, v := range bp.vecs {
-		best, bd := 0, float32(math.MaxFloat32)
-		for c := range bp.cents {
-			d := l2(v, bp.cents[c])
-			if d < bd {
-				best, bd = c, d
-			}
-		}
+		best := nearest(v, bp.cents, win[gen[i]])
+		win[gen[i]] = best
 		bp.assign[best] = append(bp.assign[best], uint32(i))
 	}
 	return bp
@@ -185,13 +185,17 @@ func randVec(rng *sim.RNG, dim int, lo, hi float64) []float32 {
 }
 
 // kmeansLite runs a few Lloyd iterations on a sample — enough for a
-// usable coarse quantizer without minutes of setup.
-func kmeansLite(rng *sim.RNG, vecs [][]float32, k, iters int) [][]float32 {
-	sample := vecs
+// usable coarse quantizer without minutes of setup. gen[i] is vecs[i]'s
+// generating center and win the per-center hint table NewBlueprint
+// keeps: iteration 0 takes its nearest-centroid hint from win, later
+// iterations from the sample point's previous assignment.
+func kmeansLite(rng *sim.RNG, vecs [][]float32, gen, win []int, k, iters int) [][]float32 {
+	sample, sgen := vecs, gen
 	if len(sample) > 20000 {
-		sample = make([][]float32, 20000)
+		sample, sgen = make([][]float32, 20000), make([]int, 20000)
 		for i := range sample {
-			sample[i] = vecs[rng.Intn(len(vecs))]
+			j := rng.Intn(len(vecs))
+			sample[i], sgen[i] = vecs[j], gen[j]
 		}
 	}
 	dim := len(vecs[0])
@@ -200,20 +204,20 @@ func kmeansLite(rng *sim.RNG, vecs [][]float32, k, iters int) [][]float32 {
 		src := sample[rng.Intn(len(sample))]
 		cents[c] = append([]float32(nil), src...)
 	}
+	assign := make([]int, len(sample))
 	for it := 0; it < iters; it++ {
 		sums := make([][]float64, k)
 		counts := make([]int, k)
 		for c := range sums {
 			sums[c] = make([]float64, dim)
 		}
-		for _, v := range sample {
-			best, bd := 0, float32(math.MaxFloat32)
-			for c := range cents {
-				d := l2(v, cents[c])
-				if d < bd {
-					best, bd = c, d
-				}
+		for i, v := range sample {
+			guess := assign[i]
+			if it == 0 {
+				guess = win[sgen[i]]
 			}
+			best := nearest(v, cents, guess)
+			assign[i], win[sgen[i]] = best, best
 			counts[best]++
 			for d := range v {
 				sums[best][d] += float64(v[d])
@@ -232,7 +236,9 @@ func kmeansLite(rng *sim.RNG, vecs [][]float32, k, iters int) [][]float32 {
 	return cents
 }
 
-// l2 is squared Euclidean distance.
+// l2 is squared Euclidean distance. It is the reference the exact
+// kernels below must reproduce bit for bit, and the distance the
+// verification paths (SearchDirect, BruteForce) use.
 func l2(a, b []float32) float32 {
 	var s float32
 	for i := range a {
@@ -242,11 +248,61 @@ func l2(a, b []float32) float32 {
 	return s
 }
 
-func (idx *Index) nearestCentroid(v []float32) int {
-	best, bd := 0, float32(math.MaxFloat32)
-	for c := range idx.centroids {
-		d := l2(v, idx.centroids[c])
-		if d < bd {
+// l2Bounded is l2 that gives up early. It reports (l2(a, b), true) when
+// that distance is within bound — at most bound if inclusive, below it
+// otherwise — and (partial sum, false) when it is not. The sum is built
+// in l2's order with l2's expression and checked every 8 dimensions;
+// every added term is ≥ 0 and round-to-nearest addition is monotone, so
+// the finished sum is never below a partial one and giving up is exact.
+func l2Bounded(a, b []float32, bound float32, inclusive bool) (float32, bool) {
+	b = b[:len(a)]
+	var s float32
+	for i := 0; i < len(a); i += 8 {
+		end := min(i+8, len(a))
+		for j := i; j < end; j++ {
+			d := a[j] - b[j]
+			s += d * d
+		}
+		if s > bound || (s == bound && !inclusive) {
+			return s, false
+		}
+	}
+	return s, true
+}
+
+// l2BoundedRec is l2Bounded against a vector still encoded as
+// little-endian float32 bits, as it sits in an inverted-list record:
+// each dimension is decoded only when the sum reaches it.
+func l2BoundedRec(q []float32, enc []byte, bound float32, inclusive bool) (float32, bool) {
+	enc = enc[:4*len(q)]
+	var s float32
+	for i := 0; i < len(q); i += 8 {
+		end := min(i+8, len(q))
+		for j := i; j < end; j++ {
+			d := q[j] - math.Float32frombits(binary.LittleEndian.Uint32(enc[4*j:]))
+			s += d * d
+		}
+		if s > bound || (s == bound && !inclusive) {
+			return s, false
+		}
+	}
+	return s, true
+}
+
+// nearest returns the index of the centroid nearest to v: the
+// lexicographic minimum of (l2 distance, index), which is what an
+// ascending scan keeping the first strict minimum returns. guess may be
+// any index; the better it is, the sooner l2Bounded gives up on the
+// other centroids.
+func nearest(v []float32, cents [][]float32, guess int) int {
+	best, bd := guess, l2(v, cents[guess])
+	for c := range cents {
+		if c == guess {
+			continue
+		}
+		// On a tie the lower index wins: it may equal bd, a higher one
+		// must beat it.
+		if d, ok := l2Bounded(v, cents[c], bd, c < best); ok {
 			best, bd = c, d
 		}
 	}
@@ -305,9 +361,12 @@ func (idx *Index) Search(ctx workload.Ctx, q []float32) Result {
 		order[i], order[min] = order[min], order[i]
 	}
 
+	// Once the heap holds K results, a vector must beat the worst of
+	// them, so the kernel may give up on it as soon as its partial
+	// distance reaches h[0].Dist. The simulated charges are per vector
+	// and do not depend on the distance.
 	h := make(resultHeap, 0, cfg.K+1)
 	rec := make([]byte, idx.recSize)
-	vec := make([]float32, cfg.Dim)
 	for p := 0; p < cfg.NProbe; p++ {
 		l := order[p].c
 		off := idx.listOff[l]
@@ -317,18 +376,15 @@ func (idx *Index) Search(ctx workload.Ctx, q []float32) Result {
 			}
 			ctx.Compute(cfg.VecCost)
 			idx.space.Load(ctx, off, rec)
+			off += idx.recSize
 			id := binary.LittleEndian.Uint32(rec[:4])
-			for d := 0; d < cfg.Dim; d++ {
-				vec[d] = math.Float32frombits(binary.LittleEndian.Uint32(rec[8+d*4:]))
-			}
-			dist := l2(q, vec)
 			if len(h) < cfg.K {
+				dist, _ := l2BoundedRec(q, rec[8:], float32(math.Inf(1)), true)
 				heap.Push(&h, Neighbor{ID: id, Dist: dist})
-			} else if dist < h[0].Dist {
+			} else if dist, ok := l2BoundedRec(q, rec[8:], h[0].Dist, false); ok {
 				h[0] = Neighbor{ID: id, Dist: dist}
 				heap.Fix(&h, 0)
 			}
-			off += idx.recSize
 		}
 	}
 	// Extract ascending by distance.
@@ -341,7 +397,8 @@ func (idx *Index) Search(ctx workload.Ctx, q []float32) Result {
 
 // SearchDirect runs the IVF-Flat query against current state without
 // simulated timing (verification only): the same algorithm as Search,
-// reading through ReadDirect.
+// reading through ReadDirect, but with a full decode and plain l2, so it
+// checks Search's early-abandon kernel rather than sharing it.
 func (idx *Index) SearchDirect(q []float32) Result {
 	cfg := &idx.cfg
 	type cd struct {

@@ -1,6 +1,9 @@
 package vecdb
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"repro/internal/memnode"
@@ -197,5 +200,153 @@ func TestSampleVector(t *testing.T) {
 	}
 	if idx.SampleVector(cfg.N+5) != nil {
 		t.Fatal("found nonexistent vector")
+	}
+}
+
+// blueprintFingerprint is FNV-64a over the centroids' float bits, then
+// each inverted list's length and vector ids, all little-endian uint32.
+func blueprintFingerprint(bp *Blueprint) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	put := func(x uint32) {
+		binary.LittleEndian.PutUint32(buf[:], x)
+		h.Write(buf[:])
+	}
+	for _, c := range bp.cents {
+		for _, x := range c {
+			put(math.Float32bits(x))
+		}
+	}
+	for _, ids := range bp.assign {
+		put(uint32(len(ids)))
+		for _, id := range ids {
+			put(id)
+		}
+	}
+	return h.Sum64()
+}
+
+// TestBlueprintFingerprint pins the index layout fig13 and the vecdb-scan
+// benchmark build: the trained centroids and every list's membership and
+// order. The value was computed with the plain full-distance argmin scans
+// that the early-abandon kernel replaced, so the kernel, the tie rule and
+// the hints must reproduce them bit for bit.
+func TestBlueprintFingerprint(t *testing.T) {
+	const want = 0x65cc28d184494586
+	if got := blueprintFingerprint(NewBlueprint(DefaultConfig(30_000))); got != want {
+		t.Fatalf("blueprint fingerprint %#x, want %#x", got, want)
+	}
+}
+
+// scanNearest is the plain ascending argmin nearest must match: the
+// first centroid with the strictly smallest full distance.
+func scanNearest(v []float32, cents [][]float32) int {
+	best, bd := 0, float32(math.MaxFloat32)
+	for c := range cents {
+		if d := l2(v, cents[c]); d < bd {
+			best, bd = c, d
+		}
+	}
+	return best
+}
+
+func TestNearestMatchesScan(t *testing.T) {
+	for _, dim := range []int{5, 13, 128} {
+		rng := sim.NewRNG(int64(dim))
+		cents := make([][]float32, 24)
+		for c := range cents {
+			cents[c] = randVec(rng, dim, 0, 1)
+		}
+		// Exact ties: duplicated centroids, on both sides of each other.
+		cents[9] = append([]float32(nil), cents[2]...)
+		cents[17] = append([]float32(nil), cents[2]...)
+		cents[20] = append([]float32(nil), cents[11]...)
+		points := [][]float32{cents[2], cents[11], cents[20]}
+		for i := 0; i < 40; i++ {
+			points = append(points, randVec(rng, dim, 0, 1))
+		}
+		for _, c := range []int{2, 11} { // near a duplicated pair
+			v := append([]float32(nil), cents[c]...)
+			v[0] += 0.01
+			points = append(points, v)
+		}
+		for i, v := range points {
+			want := scanNearest(v, cents)
+			for guess := range cents {
+				if got := nearest(v, cents, guess); got != want {
+					t.Fatalf("dim %d point %d guess %d: nearest %d, scan %d", dim, i, guess, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestL2BoundedExact checks both kernels against l2: within the bound
+// they return l2's exact bits, and the accept decision agrees with the
+// full distance, including a bound equal to it.
+func TestL2BoundedExact(t *testing.T) {
+	rng := sim.NewRNG(4)
+	for _, dim := range []int{1, 7, 8, 13, 128} {
+		for trial := 0; trial < 50; trial++ {
+			a, b := randVec(rng, dim, 0, 1), randVec(rng, dim, 0, 1)
+			enc := make([]byte, 4*dim)
+			for d, x := range b {
+				binary.LittleEndian.PutUint32(enc[4*d:], math.Float32bits(x))
+			}
+			full := l2(a, b)
+			for _, bound := range []float32{0, full / 2, math.Nextafter32(full, 0), full, math.Nextafter32(full, 10), 2 * full} {
+				for _, inclusive := range []bool{false, true} {
+					want := full < bound || (inclusive && full == bound)
+					d1, ok1 := l2Bounded(a, b, bound, inclusive)
+					d2, ok2 := l2BoundedRec(a, enc, bound, inclusive)
+					if ok1 != want || ok2 != want {
+						t.Fatalf("dim %d bound %v inclusive %v: accepted %v/%v, want %v (l2 %v)", dim, bound, inclusive, ok1, ok2, want, full)
+					}
+					if want && (math.Float32bits(d1) != math.Float32bits(full) || math.Float32bits(d2) != math.Float32bits(full)) {
+						t.Fatalf("dim %d: bounded distances %v/%v, l2 %v", dim, d1, d2, full)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchMatchesSearchDirect checks the early-abandon query scan
+// against SearchDirect, which keeps the full decode and plain l2: the
+// same neighbors in the same order with the same distance bits. K=300
+// exceeds every list, and K=2000 exceeds all NProbe lists together, so
+// the heap fills across lists or never fills.
+func TestSearchMatchesSearchDirect(t *testing.T) {
+	for _, k := range []int{1, 5, 300, 2000} {
+		cfg := smallConfig()
+		cfg.K = k
+		env, mgr, idx, qp := newRig(t, cfg, 0.25)
+		const queries = 100
+		done := 0
+		env.Go("driver", func(p *sim.Proc) {
+			ctx := &ctxThread{env: env, proc: p, mgr: mgr, qp: qp, gate: sim.NewGate(env)}
+			rng := sim.NewRNG(int64(k))
+			for trial := 0; trial < queries; trial++ {
+				payload, _ := idx.NextRequest(rng)
+				q := payload.(Query).Vec
+				got, want := idx.Search(ctx, q), idx.SearchDirect(q)
+				if len(got.Neighbors) != len(want.Neighbors) {
+					t.Errorf("K=%d query %d: %d neighbors, SearchDirect %d", k, trial, len(got.Neighbors), len(want.Neighbors))
+					return
+				}
+				for i, n := range got.Neighbors {
+					w := want.Neighbors[i]
+					if n.ID != w.ID || math.Float32bits(n.Dist) != math.Float32bits(w.Dist) {
+						t.Errorf("K=%d query %d rank %d: %+v, SearchDirect %+v", k, trial, i, n, w)
+						return
+					}
+				}
+				done++
+			}
+		})
+		env.Run(sim.Seconds(600))
+		if done != queries {
+			t.Fatalf("K=%d: %d of %d queries compared", k, done, queries)
+		}
 	}
 }
